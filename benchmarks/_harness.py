@@ -1,7 +1,7 @@
 """Shared builders for the benchmark suite.
 
-Each ``bench_*`` file reproduces one experiment from EXPERIMENTS.md /
-DESIGN.md section 4. The helpers here keep instance construction
+Each ``bench_*`` file reproduces one entry of the experiment registry
+(``python -m repro experiments``). The helpers here keep instance construction
 consistent across benches so ratios are comparable, and funnel all
 printed output through :func:`repro.format_table`.
 
@@ -12,7 +12,7 @@ Conventions:
 * ``benchmark.pedantic(..., rounds=1, iterations=1)`` wraps the whole
   experiment — wall-clock is reported by pytest-benchmark, the
   scientific result goes to stdout;
-* seeds are fixed: every number in EXPERIMENTS.md is replayable.
+* seeds are fixed: every number a bench prints is replayable.
 """
 
 from __future__ import annotations

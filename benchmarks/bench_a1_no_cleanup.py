@@ -1,7 +1,7 @@
 """A1 — ablation: the clean-up phase is what drains failed packets.
 
-DESIGN.md calls out the two-phase frame as the protocol's load-bearing
-design choice: failed packets leave the phase-1 population (keeping
+The paper (PAPER.md) makes the two-phase frame the protocol's
+load-bearing design choice: failed packets leave the phase-1 population (keeping
 Claim 5's overload probability applicable) and are drained by the
 clean-up lottery at rate >= 1/(2em) (Lemma 6).
 

@@ -4,10 +4,7 @@ The perf tentpole of the run-loop backend PR: on the P1 headline
 workload (a 500-link dynamic-protocol stability run under the
 ack-feedback KV scheduler, store-mode bookkeeping) the fused
 pure-numpy backend must clear at least **1.5×** the slots/sec of the
-P1 kernel path it subsumes, and the numba-compiled backend at least
-**3×** whenever numba is importable (enforced by the CI numba lane;
-``numba_present`` is recorded honestly in the JSON either way, like
-BENCH_p3 does for ``cpu_count``).
+P1 kernel path it subsumes.
 
 Workloads:
 
@@ -42,18 +39,13 @@ from bench_p1_slot_kernel import FRAME, NUM_LINKS, build_model
 
 import repro
 from repro.staticsched import KvScheduler, SingleHopScheduler
-from repro.staticsched.runloop import (
-    available_backends,
-    numba_available,
-    use_backend,
-)
+from repro.staticsched.runloop import available_backends, use_backend
 
 FRAMES = 8
 TIMING_REPEATS = 3
 
 #: Floors enforced by the pytest wrapper (and run_perf for numpy).
 NUMPY_FLOOR = 1.5
-NUMBA_FLOOR = 3.0
 HISTORY_OVERHEAD_CEILING = 0.10
 
 
@@ -178,17 +170,12 @@ def run_experiment(frames: int = FRAMES, out_path=None, tags=None):
     headline_speedup = (
         headline_secs["kernel"] / headline_secs["numpy"]
     )
-    numba_speedup = (
-        headline_secs["kernel"] / headline_secs["numba"]
-        if "numba" in headline_secs else None
-    )
 
     payload = {
         "benchmark": "p4_runloop",
         "created_unix": time.time(),
         "links": NUM_LINKS,
         "frames": frames,
-        "numba_present": numba_available(),
         "backends": backends,
         "workloads": [
             {
@@ -218,7 +205,6 @@ def run_experiment(frames: int = FRAMES, out_path=None, tags=None):
             },
         ],
         "headline_speedup": headline_speedup,
-        "numba_speedup": numba_speedup,
         "history_overhead": history_overhead,
         "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     }
@@ -237,8 +223,6 @@ def run_experiment(frames: int = FRAMES, out_path=None, tags=None):
             f"{per_backend['kernel']:,.0f}",
             f"{per_backend['numpy']:,.0f}",
             f"{per_backend['numpy'] / per_backend['kernel']:.2f}x",
-            f"{per_backend['numba']:,.0f}" if "numba" in per_backend
-            else "-",
         ])
     rows.append([
         "history-500link-kv",
@@ -246,14 +230,13 @@ def run_experiment(frames: int = FRAMES, out_path=None, tags=None):
         "-",
         "-",
         f"{history_overhead:+.1%} rec",
-        "-",
     ])
     print_experiment(
         "P4",
         "Fused run-loop backends: chunked coins, sparse bookkeeping "
         "and lazy history vs the P1 per-slot kernel path",
         ["workload", "slots", "kernel slots/s", "numpy slots/s",
-         "numpy/kernel", "numba slots/s"],
+         "numpy/kernel"],
         rows,
     )
     return payload
@@ -269,8 +252,3 @@ def test_p4_runloop(benchmark):
         "history recording overhead above the 10% ceiling: "
         f"{payload['history_overhead']:.1%}"
     )
-    if payload["numba_present"]:
-        assert payload["numba_speedup"] >= NUMBA_FLOOR, (
-            "numba backend below the 3x acceptance floor: "
-            f"{payload['numba_speedup']:.2f}x"
-        )

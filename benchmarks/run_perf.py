@@ -171,31 +171,12 @@ def _run_p9(quick: bool, out_dir: Path) -> dict:
     )
 
 
-def _run_p10(quick: bool, out_dir: Path) -> dict:
-    import bench_p10_compiled_wave
-
-    if quick:
-        return bench_p10_compiled_wave.run_experiment(
-            sinr_frames=6,
-            fleet_frames=20,  # the stability assessor's minimum horizon
-            fleet_networks=4,
-            repeats=1,
-            out_path=out_dir / "BENCH_p10.json",
-            tags={"quick_mode": True},
-        )
-    return bench_p10_compiled_wave.run_experiment(
-        out_path=out_dir / "BENCH_p10.json",
-        tags={"quick_mode": False},
-    )
-
-
 #: Registry of perf benches: id -> (runner(quick, out_dir) -> payload,
 #: headline-speedup floor or None). The floor is per-bench: P1's
 #: acceptance criterion is >= 3x, P2's is >= 2x; future benches
 #: declare their own. P3's 2x-at-4-workers floor needs real cores, so
 #: it is enforced CPU-conditionally by its pytest wrapper, not here.
-#: P4's fused-numpy floor is 1.5x on any host; its numba floor (3x) is
-#: numba-conditional and enforced by the pytest wrapper / CI lane.
+#: P4's fused-numpy floor is 1.5x on any host.
 #: P5 (the scenario fleet) is CPU-conditional like P3.
 #: P6 (checkpointed execution) inverts the convention: its "speedup"
 #: is plain/checkpointed wall-clock, so the 0.95 floor is an overhead
@@ -211,12 +192,6 @@ def _run_p10(quick: bool, out_dir: Path) -> dict:
 #: P9 (the batched fleet kernel) enforces its 2x-over-serial floor
 #: unconditionally: batching spends no extra cores, so even the 1-CPU
 #: container must deliver it (parity is asserted inside the bench).
-#: P10 (the compiled wave engine) is numba-conditional like P4: its
-#: headline (compiled SINR over fused numpy, floor 2x) is None without
-#: numba, which skips the check here; the batch-JIT 1.3x floor is
-#: enforced by its pytest wrapper on the CI numba lane. Parity — both
-#: halves bit-identical to serial — is asserted inside the bench on
-#: every host, numba or not.
 PERF_BENCHES = {
     "p1": (_run_p1, 3.0),
     "p2": (_run_p2, 2.0),
@@ -227,7 +202,6 @@ PERF_BENCHES = {
     "p7": (_run_p7, 0.95),
     "p8": (_run_p8, 2.0),
     "p9": (_run_p9, 2.0),
-    "p10": (_run_p10, 2.0),
 }
 
 

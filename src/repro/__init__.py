@@ -25,8 +25,9 @@ Quickstart::
     sim.run(200)
     print(sim.metrics.queue_series[-5:], sim.metrics.throughput())
 
-See DESIGN.md for the architecture and EXPERIMENTS.md for the
-paper-claim-by-claim reproduction results.
+See PAPER.md for the source paper, ``python -m repro experiments`` for
+the paper-claim-by-claim reproduction inventory, and PERFORMANCE.md for
+the engine's design and measured speed.
 """
 
 from repro.errors import (

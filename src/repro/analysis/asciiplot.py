@@ -3,8 +3,8 @@
 The repository runs in offline environments, so "figures" are rendered
 as text: a block-character sparkline for single series and a
 multi-series line chart on a character canvas. Used by the examples
-and by EXPERIMENTS.md extracts; precision lives in the tables, the
-plots carry the shape.
+and the benches; precision lives in the tables, the plots carry the
+shape.
 """
 
 from __future__ import annotations

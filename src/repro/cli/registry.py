@@ -1,8 +1,9 @@
 """The experiment inventory — and the CLI's named sweep-cell builders.
 
-One row per experiment in EXPERIMENTS.md. The CLI prints this table;
-tests assert that every listed bench file exists so the registry cannot
-drift from the benchmark suite.
+One row per reproduced paper claim or performance bench. The CLI
+prints this table (``python -m repro experiments``); tests assert that
+every listed bench file exists so the registry cannot drift from the
+benchmark suite.
 
 This module also registers the CLI's protocol/injection builders with
 :mod:`repro.sim.sharding` under stable names, so a sweep or compare run
@@ -172,8 +173,8 @@ EXPERIMENTS: List[ExperimentEntry] = [
     ExperimentEntry(
         "P4", "Performance",
         "fused run-loop backends: >= 1.5x slots/sec over the per-slot "
-        "kernel path on the 500-link KV headline (>= 3x with numba), "
-        "bit-identical to the scalar reference",
+        "kernel path on the 500-link KV headline, bit-identical to "
+        "the scalar reference",
         "bench_p4_runloop.py",
     ),
     ExperimentEntry(
@@ -209,14 +210,6 @@ EXPERIMENTS: List[ExperimentEntry] = [
         "fused wave loop, bit-identical to serial; >= 2x fleet "
         "frames/sec over serial on a single core",
         "bench_p9_batched_fleet.py",
-    ),
-    ExperimentEntry(
-        "P10", "Performance",
-        "compiled wave engine: SINR gain-table evaluator in the numba "
-        "lane (>= 2x over fused numpy on the 500-link stability run) "
-        "and a batch-JIT fleet driver (>= 1.3x over the numpy wave "
-        "engine), both bit-identical to serial",
-        "bench_p10_compiled_wave.py",
     ),
 ]
 

@@ -13,9 +13,9 @@ frame; it must fit ``f(m) * 1 + g(m, m J)`` slots.
 
 ``t_scale`` shrinks the proof constants for experiments (the theorems
 hold *a fortiori* at the paper's values; the experiments test shapes,
-which survive constant scaling — see DESIGN.md). The solver always
-enforces the *structural* constraint that both phases fit, growing ``T``
-if the scaled constants violate it.
+which survive constant scaling — see ``python -m repro experiments``).
+The solver always enforces the *structural* constraint that both phases
+fit, growing ``T`` if the scaled constants violate it.
 """
 
 from __future__ import annotations

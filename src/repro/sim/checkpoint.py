@@ -4,8 +4,8 @@ The protocol runs every frame to completion, so the frame boundary is
 the natural snapshot point: between frames every layer (protocol,
 packet store, injection process, stateful models, metrics) is
 quiescent, and a restored snapshot continues bit-identically to an
-uninterrupted run on every backend — the numba/kernel backends re-enter
-Python at exactly these boundaries.
+uninterrupted run on every backend — each backend runs a frame's
+static-algorithm calls to completion before control returns here.
 
 File layout (all little-endian)::
 

@@ -14,8 +14,8 @@ frames with.
 The per-slot execution of the randomized schedulers runs through a
 pluggable run-loop backend (:mod:`repro.staticsched.runloop`): the
 fused pure-numpy backend by default (chunked Bernoulli draws, sparse
-attempter-set bookkeeping, lazy history), an optional numba-compiled
-backend when numba is importable, and the per-slot ``kernel`` path
+attempter-set bookkeeping, lazy history; ``auto`` and ``numba`` are
+aliases for it), and the per-slot ``kernel`` path
 (:mod:`repro.staticsched.kernel`) as the benchmark baseline.
 ``kernel.scalar_reference()`` pins runs to the scalar ``successes()``
 reference path for verification; every backend replays it
@@ -49,7 +49,6 @@ from repro.staticsched.runloop import (
     BACKENDS,
     available_backends,
     default_backend,
-    numba_available,
     resolve_backend,
     set_default_backend,
     use_backend,
@@ -76,7 +75,6 @@ __all__ = [
     "BACKENDS",
     "available_backends",
     "default_backend",
-    "numba_available",
     "resolve_backend",
     "set_default_backend",
     "use_backend",

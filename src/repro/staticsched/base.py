@@ -118,17 +118,6 @@ class LazySlotHistory(Sequence):
         self._attempted.append((busy, attempt_mask))
         self._succeeded.append(heads)
 
-    def append_ids_heads(
-        self, attempted: np.ndarray, heads: np.ndarray
-    ) -> None:
-        """Record a slot from attempted link ids plus popped heads.
-
-        The compiled backend's form: succeeded link ids resolve lazily
-        as ``request_links[heads]`` exactly like :meth:`append_mask`.
-        """
-        self._attempted.append(attempted)
-        self._succeeded.append(heads if heads.size else None)
-
     # -- materialisation ----------------------------------------------
 
     def _record(self, index: int) -> SlotRecord:

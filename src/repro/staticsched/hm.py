@@ -143,17 +143,10 @@ class HmScheduler(StaticAlgorithm):
         if budget < 0:
             raise SchedulingError(f"budget must be >= 0, got {budget}")
         gen = ensure_rng(rng)
-        backend = resolve_backend()
-        if backend in ("numpy", "numba"):
-            # The HM recurrence divides by incrementally maintained
-            # row sums; the compiled backend keeps the transmission
-            # probabilities identical by maintaining them with a
-            # bit-exact replay of numpy's pairwise summation (see
-            # _runloop_numba._pairwise_sum and its self-check gate).
+        if resolve_backend() == "numpy":
             return run_fused(
                 self.fused_policy(),
                 model, requests, budget, gen, record_history,
-                backend=backend,
             )
         kernel, queues, delivered, history = make_run_state(
             model, requests, record_history

@@ -21,8 +21,8 @@ same stream as repeated scalar calls, a batched scheduler replays
 bit-for-bit against its scalar-loop ancestor.
 
 This per-slot kernel is the ``kernel`` run-loop backend; the fused
-and compiled backends live in :mod:`repro.staticsched.runloop`, which
-also owns backend selection.
+backend lives in :mod:`repro.staticsched.runloop`, which also owns
+backend selection.
 
 Reference mode
 --------------

@@ -111,12 +111,10 @@ class KvScheduler(StaticAlgorithm):
         if budget < 0:
             raise SchedulingError(f"budget must be >= 0, got {budget}")
         gen = ensure_rng(rng)
-        backend = resolve_backend()
-        if backend in ("numpy", "numba"):
+        if resolve_backend() == "numpy":
             return run_fused(
                 self.fused_policy(),
                 model, requests, budget, gen, record_history,
-                backend=backend,
             )
         kernel, queues, delivered, history = make_run_state(
             model, requests, record_history

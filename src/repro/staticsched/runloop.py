@@ -25,17 +25,9 @@ module turns the slot loop into a *backend* choice:
     changes), head pops straight off the ``LinkQueues`` CSR arrays,
     lazy array-backed history, and inline evaluators for the
     affectance and conflict models.
-``numba``
-    Optional compiled backend (:mod:`repro.staticsched._runloop_numba`):
-    run-to-completion JIT loops for the kv / decay / fkv / hm /
-    single-hop recurrences over the affectance, conflict and SINR
-    gain-table evaluators (hm gated on a bit-exact pairwise-sum
-    self-check; ``python -m repro backends`` prints the live matrix). Detected
-    at import; when numba is absent — or the (scheduler, model) pair
-    is outside the compiled set — it falls back *silently* to the
-    fused numpy backend.
-``auto``
-    ``numba`` when available, else ``numpy``. The default.
+``auto``, ``numba``
+    Aliases for ``numpy``, kept so existing spec documents and
+    ``--backend numba`` still load. ``auto`` is the default.
 
 Every backend consumes the caller's generator stream exactly like the
 scalar loop (one uniform per busy link per slot, none on idle
@@ -72,13 +64,8 @@ _scalar_depth = 0
 
 
 def numba_available() -> bool:
-    """Whether the compiled backend can be used in this process."""
-    try:
-        from repro.staticsched import _runloop_numba
-
-        return _runloop_numba.NUMBA_AVAILABLE
-    except Exception:  # pragma: no cover - defensive import guard
-        return False
+    """Always False: no compiled backend exists (``numba`` is an alias)."""
+    return False
 
 
 def _check_backend(name: str) -> str:
@@ -133,9 +120,8 @@ def resolve_backend(name: Optional[str] = None) -> str:
 
     Resolution order: an active scalar-reference context beats
     everything; then ``name`` if given; then the innermost
-    ``use_backend`` override; then the process default. ``auto``
-    resolves to ``numba`` when importable, else ``numpy``; a ``numba``
-    request without numba installed falls back silently to ``numpy``.
+    ``use_backend`` override; then the process default. ``auto`` and
+    ``numba`` are aliases for ``numpy``.
     """
     if _scalar_depth > 0:
         return "scalar"
@@ -143,19 +129,14 @@ def resolve_backend(name: Optional[str] = None) -> str:
         name = _override_stack[-1] if _override_stack else _default_backend
     else:
         _check_backend(name)
-    if name == "auto":
-        name = "numba" if numba_available() else "numpy"
-    if name == "numba" and not numba_available():
+    if name in ("auto", "numba"):
         return "numpy"
     return name
 
 
 def available_backends() -> Tuple[str, ...]:
     """The concrete backends runnable in this process."""
-    concrete = ["scalar", "kernel", "numpy"]
-    if numba_available():
-        concrete.append("numba")
-    return tuple(concrete)
+    return ("scalar", "kernel", "numpy")
 
 
 # ----------------------------------------------------------------------
@@ -197,8 +178,8 @@ class ChunkedUniforms:
         """Splice the unconsumed tail with a fresh chunk (no consume).
 
         Resets the cursor to 0 and returns the new buffer; callers
-        that consume straight off the buffer (the compiled backend)
-        must keep :attr:`_cursor`/:attr:`_consumed` in sync so
+        that consume straight off the buffer (the wave engine) must
+        keep :attr:`_cursor`/:attr:`_consumed` in sync so
         :meth:`finalize` can rewind exactly.
         """
         leftover = self._buf[self._cursor:]
@@ -262,9 +243,6 @@ class FusedPolicy:
     adaptive updates touch O(attempters), not O(busy), elements.
     """
 
-    #: Policy identifier, used by the numba backend to pick a
-    #: compiled recurrence ("kv", "decay", "fkv", "hm", "single-hop").
-    kind: str = ""
     #: Whether the policy consumes one uniform per busy link per slot.
     uses_rng: bool = True
 
@@ -285,8 +263,6 @@ class FusedPolicy:
 
 class KvPolicy(FusedPolicy):
     """Ack-feedback multiplicative adaptation (KV / DISC'10)."""
-
-    kind = "kv"
 
     def __init__(self, p0: float, p_min: float, backoff: float,
                  recovery_slots: int):
@@ -344,8 +320,6 @@ class KvPolicy(FusedPolicy):
 class DecayPolicy(FusedPolicy):
     """Non-adaptive ``1/(cI)`` transmission (paper Theorem 19)."""
 
-    kind = "decay"
-
     def __init__(self, probability_scale: float, measure_floor: float):
         self.probability_scale = probability_scale
         self.measure_floor = measure_floor
@@ -388,8 +362,6 @@ class DecayPolicy(FusedPolicy):
 
 class FkvPolicy(FusedPolicy):
     """Phased decay (FKV, TCS 2011): geometric phase schedule."""
-
-    kind = "fkv"
 
     def __init__(self, probability_scale: float, phase_scale: float):
         self.probability_scale = probability_scale
@@ -454,8 +426,6 @@ class FkvPolicy(FusedPolicy):
 class HmPolicy(FusedPolicy):
     """Contention-adaptive ``chi / I_busy`` transmission (HM-style)."""
 
-    kind = "hm"
-
     def __init__(self, chi: float):
         self.chi = chi
 
@@ -488,7 +458,6 @@ class HmPolicy(FusedPolicy):
 class SingleHopPolicy(FusedPolicy):
     """Every busy link transmits (the trivial packet-routing rule)."""
 
-    kind = "single-hop"
     uses_rng = False
 
     def bind(self, model, requests, busy, depths) -> None:
@@ -874,7 +843,6 @@ def run_fused(
     budget: int,
     gen: np.random.Generator,
     record_history: bool = False,
-    backend: str = "numpy",
 ) -> RunResult:
     """Run a policy to completion on the fused numpy backend.
 
@@ -882,24 +850,8 @@ def run_fused(
     coins, one flat submatrix gather + row-sum for the evaluator, and
     attempter-subset gathers/scatters for the CSR head pops, depth
     bookkeeping and the policy recurrence — with zero per-slot
-    allocations beyond the sparse index arrays. ``backend="numba"``
-    first offers the run to the compiled backend and silently falls
-    back here when numba is absent or the (policy, model) pair is not
-    compiled.
+    allocations beyond the sparse index arrays.
     """
-    if backend == "numba":
-        try:
-            from repro.staticsched import _runloop_numba
-
-            if _runloop_numba.supported(
-                policy, model, budget, record_history
-            ):
-                return _runloop_numba.run_compiled(
-                    policy, model, requests, budget, gen, record_history
-                )
-        except ImportError:  # pragma: no cover - numba genuinely absent
-            pass
-
     if (
         type(policy) is KvPolicy
         and type(model) is AffectanceThresholdModel

@@ -64,12 +64,10 @@ class SingleHopScheduler(StaticAlgorithm):
     ) -> RunResult:
         if budget < 0:
             raise SchedulingError(f"budget must be >= 0, got {budget}")
-        backend = resolve_backend()
-        if backend in ("numpy", "numba"):
+        if resolve_backend() == "numpy":
             return run_fused(
                 self.fused_policy(),
                 model, requests, budget, ensure_rng(rng), record_history,
-                backend=backend,
             )
         kernel, queues, delivered, history = make_run_state(
             model, requests, record_history

@@ -14,6 +14,7 @@ the serial executor emits.
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 
@@ -128,6 +129,21 @@ def test_batched_parity_matrix(combo, metrics):
         base.replace(seed=seed, metrics=metrics) for seed in (0, 1, 2)
     ]
     _assert_batched_matches_serial(specs)
+
+
+@pytest.mark.parametrize("alias", ["numba", "auto"])
+def test_backend_alias_documents_match_numpy(alias):
+    """A spec document naming the ``numba`` or ``auto`` alias still
+    loads, batches without fallback, and gives the ``numpy`` records."""
+    numpy_spec = MATRIX_SPECS["kv-linear"].replace(seed=5, backend="numpy")
+    document = json.loads(numpy_spec.to_json())
+    document["backend"] = alias
+    alias_spec = ScenarioSpec.from_json(json.dumps(document))
+    assert alias_spec.backend == alias
+    reference = run_scenario_fleet([numpy_spec], SerialExecutor())
+    _, batched = _assert_batched_matches_serial([alias_spec])
+    assert records_equal(reference.records, batched.records)
+    assert reference.summary == batched.summary
 
 
 def test_every_batchable_scheduler_is_covered():
@@ -250,6 +266,55 @@ def test_checkpointed_unit_warns_and_matches(tmp_path):
     with pytest.warns(BatchFallbackWarning, match="checkpointed"):
         got = BatchedExecutor().map([unit])
     assert records_equal([plain.run()], got)
+
+
+def _mixed_fleet_specs():
+    """4 units, 3 ineligible for 2 distinct reasons, 1 eligible."""
+    unbatchable = ScenarioSpec(
+        topology="mac",
+        topology_kwargs={"num_stations": 4},
+        model="mac",
+        scheduler="round-robin",
+        frames=20,
+    )
+    scalar = MATRIX_SPECS["kv-linear"].replace(backend="scalar")
+    return [
+        unbatchable.replace(seed=0),
+        scalar.replace(seed=1),
+        scalar.replace(seed=2),
+        MATRIX_SPECS["kv-linear"].replace(seed=3),
+    ]
+
+
+def test_mixed_fleet_emits_one_aggregated_warning():
+    """A fleet with several distinct fallbacks warns ONCE, with every
+    reason and its count in the message — not once per unit."""
+    specs = _mixed_fleet_specs()
+    serial = run_scenario_fleet(specs, SerialExecutor())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        batched = run_scenario_fleet(specs, BatchedExecutor())
+    fallback = [
+        w for w in caught if issubclass(w.category, BatchFallbackWarning)
+    ]
+    assert len(fallback) == 1, (
+        f"expected one aggregated warning, got {len(fallback)}"
+    )
+    message = str(fallback[0].message)
+    assert "3 of 4" in message
+    assert "no fused policy" in message and "[x1]" in message
+    assert "no fused run loop" in message and "[x2]" in message
+    assert records_equal(serial.records, batched.records)
+
+
+def test_mixed_fleet_strict_still_raises_per_unit():
+    """strict keeps its precise per-unit contract: the first
+    ineligible position raises immediately, reason attached."""
+    with pytest.raises(ConfigurationError,
+                       match=r"fleet unit 0 cannot batch"):
+        run_scenario_fleet(
+            _mixed_fleet_specs(), BatchedExecutor(strict=True)
+        )
 
 
 def test_strict_mode_raises_instead_of_warning():

@@ -6,9 +6,8 @@ Three layers of verification:
    the same seed on the same instance: the ``kernel`` per-slot path
    (batch evaluators, cached submatrices), the fused ``numpy``
    backend (chunked draws, sparse bookkeeping, inline evaluators),
-   the ``numba`` backend when numba is installed, and the scalar
-   reference inside ``kernel.scalar_reference()`` (one scalar
-   ``successes()`` call per slot). All ``RunResult``\\ s — delivered
+   and the scalar reference inside ``kernel.scalar_reference()`` (one
+   scalar ``successes()`` call per slot). All ``RunResult``\\ s — delivered
    order, remaining set, slots used, full slot history — must be
    identical, which also pins down that every backend consumes the
    exact same RNG stream (the chunk-drawn backends must rewind their
@@ -18,8 +17,8 @@ Three layers of verification:
    hypothesis sweep over random weight matrices for the affectance
    criterion.
 3. **Boundary parity** — crafted instances whose accumulated impact
-   lands exactly on the affectance threshold, forcing the fused and
-   compiled backends through their exact-summation guard paths.
+   lands exactly on the affectance threshold, forcing the fused
+   backend through its exact-summation guard paths.
 """
 
 from __future__ import annotations
@@ -145,8 +144,7 @@ def _run_once(scheduler_factory, model_factory, seed, record_history=True):
     )
 
 
-#: Concrete non-reference backends runnable here ("numba" only rides
-#: along when numba is importable — the CI numba lane covers it).
+#: Concrete non-reference backends.
 PARITY_BACKENDS = tuple(
     name for name in available_backends() if name != "scalar"
 )

@@ -6,15 +6,12 @@ backend × scheduler × model) with the machinery-level contracts:
 * chunk-pre-drawn uniforms equal per-slot draws for arbitrary
   take/chunk interleavings, and the generator lands on the exact
   per-slot stream position afterwards (hypothesis sweep);
-* backend resolution — auto detection, silent numba fallback, the
-  scalar reference winning ties, per-cell backend pinning in sharded
-  sweeps;
+* backend resolution — ``auto`` and ``numba`` as aliases for
+  ``numpy``, the scalar reference winning ties, per-cell backend
+  pinning in sharded sweeps;
 * the kernel's shared idle mask is an *enforced* read-only view;
 * ``LazySlotHistory`` behaves like the eager ``List[SlotRecord]`` it
-  replaced (equality, concatenation, merge, feasibility consumers);
-* the compiled backend's wrapper (chunk splicing, borderline slots,
-  history growth) replays the scalar reference even when numba is
-  absent and the driver runs interpreted.
+  replaced (equality, concatenation, merge, feasibility consumers).
 """
 
 from __future__ import annotations
@@ -27,31 +24,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.interference.builders import node_constraint_conflicts
-from repro.interference.conflict import ConflictGraphModel
 from repro.interference.matrix_model import AffectanceThresholdModel
-from repro.network.topology import grid_network, mac_network
-from repro.staticsched import (
-    DecayScheduler,
-    FkvScheduler,
-    HmScheduler,
-    KvScheduler,
-    SingleHopScheduler,
-)
-from repro.staticsched import _runloop_numba
+from repro.network.topology import mac_network
+from repro.staticsched import DecayScheduler, KvScheduler, SingleHopScheduler
 from repro.staticsched.base import LazySlotHistory, RunResult, SlotRecord
 from repro.staticsched.kernel import make_run_state, scalar_reference
 from repro.staticsched.runloop import (
     BACKENDS,
     ChunkedUniforms,
-    DecayPolicy,
-    FkvPolicy,
-    HmPolicy,
-    KvPolicy,
-    SingleHopPolicy,
     available_backends,
     default_backend,
-    numba_available,
     resolve_backend,
     set_default_backend,
     use_backend,
@@ -127,17 +109,12 @@ def test_chunked_uniforms_shared_generator_across_runs():
 
 def test_backend_registry_names():
     assert BACKENDS == ("auto", "numpy", "numba", "scalar")
-    concrete = available_backends()
-    assert "numpy" in concrete and "kernel" in concrete
-    assert ("numba" in concrete) == numba_available()
+    assert available_backends() == ("scalar", "kernel", "numpy")
 
 
 def test_resolve_auto_and_numba_fallback():
-    assert resolve_backend("auto") in ("numpy", "numba")
-    if not numba_available():
-        # Absent numba falls back silently, never errors.
-        assert resolve_backend("numba") == "numpy"
-        assert resolve_backend("auto") == "numpy"
+    # Both names are aliases kept so older spec documents still load.
+    assert resolve_backend("numba") == resolve_backend("auto") == "numpy"
 
 
 def test_unknown_backend_rejected():
@@ -157,7 +134,7 @@ def test_use_backend_nests_and_restores():
         with use_backend("numpy"):
             assert resolve_backend() == "numpy"
         assert resolve_backend() == "kernel"
-    assert resolve_backend() in ("numpy", "numba")
+    assert resolve_backend() == "numpy"
 
 
 def test_scalar_reference_wins_ties():
@@ -347,115 +324,6 @@ def test_generator_state_matches_reference_after_runs(backend):
     assert got_mid == ref_mid
     assert got_b.delivered == ref_b.delivered
     assert gen.bit_generator.state == gen_ref.bit_generator.state
-
-
-# ----------------------------------------------------------------------
-# The compiled backend's wrapper, exercised without numba
-# ----------------------------------------------------------------------
-
-
-_COMPILED_POLICIES = {
-    "kv": (
-        KvScheduler,
-        lambda s: KvPolicy(s._p0, s._p_min, s._backoff, s._recovery_slots),
-    ),
-    "decay": (
-        DecayScheduler,
-        lambda s: DecayPolicy(s._probability_scale, s._measure_floor),
-    ),
-    "fkv": (
-        FkvScheduler,
-        lambda s: FkvPolicy(s._probability_scale, s._phase_scale),
-    ),
-    "hm": (HmScheduler, lambda s: HmPolicy(s._chi)),
-    "single-hop": (SingleHopScheduler, lambda s: SingleHopPolicy()),
-}
-
-
-def _conflict_model():
-    net = grid_network(3, 3)
-    return ConflictGraphModel(net, node_constraint_conflicts(net))
-
-
-@pytest.mark.parametrize("model_factory", [_affectance_model,
-                                           _conflict_model],
-                         ids=["affectance", "conflict"])
-@pytest.mark.parametrize("sched_name", sorted(_COMPILED_POLICIES))
-@pytest.mark.parametrize("record_history", [False, True],
-                         ids=["plain", "history"])
-def test_compiled_wrapper_replays_reference(
-    sched_name, model_factory, record_history
-):
-    """``run_compiled`` is driven through its full re-entry protocol
-    (chunk refills, borderline slots, history growth) and must replay
-    the scalar reference — with numba absent the driver runs
-    interpreted, so this covers the wrapper logic in every lane."""
-    sched_cls, policy_factory = _COMPILED_POLICIES[sched_name]
-    model = model_factory()
-    scheduler = sched_cls()
-    rng = np.random.default_rng(5)
-    requests = list(rng.integers(0, model.num_links, size=25))
-    measure = model.interference_measure(requests)
-    budget = min(scheduler.budget_for(measure, len(requests)), 300)
-
-    gen_ref = np.random.default_rng(6)
-    with scalar_reference():
-        reference = sched_cls().run(
-            model_factory(), requests, budget,
-            rng=gen_ref, record_history=record_history,
-        )
-    gen = np.random.default_rng(6)
-    got = _runloop_numba.run_compiled(
-        policy_factory(scheduler), model, requests, budget, gen,
-        record_history,
-    )
-    assert got.delivered == reference.delivered
-    assert got.remaining == reference.remaining
-    assert got.slots_used == reference.slots_used
-    if record_history:
-        assert got.history == reference.history
-    assert gen.bit_generator.state == gen_ref.bit_generator.state
-
-
-def test_compiled_supported_matrix():
-    """The compiled set is exactly {kv, decay, fkv, hm, single-hop} ×
-    {affectance, conflict, sinr} — hm additionally gated on the
-    pairwise self-check — and empty without numba (the sinr column has
-    its own suite in test_compiled_sinr.py)."""
-    kv = KvPolicy(0.125, 1e-4, 0.5, 8)
-    aff = _affectance_model()
-    assert _runloop_numba.supported(kv, aff) == numba_available()
-    assert _runloop_numba.supported(HmPolicy(0.25), aff) == (
-        numba_available() and _runloop_numba._pairwise_self_check()
-    )
-    from repro.interference.mac import MultipleAccessChannel
-
-    assert not _runloop_numba.supported(
-        kv, MultipleAccessChannel(mac_network(4))
-    )
-
-
-def test_pairwise_sum_replays_numpy_reduce():
-    """``_pairwise_sum`` must equal ``np.add.reduce`` bit for bit on
-    every size class of the algorithm (sequential, one block, blocked
-    with tail, recursive splits) under adversarial magnitude spreads —
-    the property that admits HM to the compiled lane."""
-    rng = np.random.default_rng(97)
-    for n in (0, 1, 2, 7, 8, 9, 15, 16, 17, 64, 127, 128, 129,
-              255, 256, 500, 1024, 4097):
-        for _ in range(3):
-            a = rng.random(n) * 10.0 ** rng.integers(-15, 15, size=n)
-            a *= np.where(rng.random(n) < 0.5, -1.0, 1.0)
-            assert _runloop_numba._pairwise_sum(a, 0, n) == np.add.reduce(a)
-    # Offset starts (the driver sums scratch prefixes, always lo=0,
-    # but the contract should hold for any window).
-    a = rng.random(300) * 10.0 ** rng.integers(-12, 12, size=300)
-    for lo, n in ((0, 300), (3, 128), (10, 9), (200, 100)):
-        assert (
-            _runloop_numba._pairwise_sum(a, lo, n)
-            == np.add.reduce(a[lo:lo + n])
-        )
-    assert _runloop_numba._pairwise_self_check()
 
 
 # ----------------------------------------------------------------------
