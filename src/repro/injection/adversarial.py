@@ -35,7 +35,7 @@ import numpy as np
 from repro.errors import ConfigurationError, InjectionError
 from repro.injection.base import InjectionProcess
 from repro.injection.packet import Packet
-from repro.injection.store import PacketStore
+from repro.injection.store import PacketStore, path_pool
 from repro.interference.base import InterferenceModel
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -87,8 +87,8 @@ class WindowAdversary(InjectionProcess):
         """The per-window measure budget ``w * lambda``."""
         return self._window * self._rate
 
-    def indices_for_slot(self, slot: int) -> List[int]:
-        index, offset = divmod(slot, self._window)
+    def _plan(self, index: int) -> Dict[int, List[Path]]:
+        """Window ``index``'s plan, planned, checked and cached on first use."""
         if index not in self._plans:
             plan = self._plan_window(index)
             self._verify_budget(plan, index)
@@ -97,10 +97,44 @@ class WindowAdversary(InjectionProcess):
             stale = [k for k in self._plans if k < index - 2]
             for k in stale:
                 del self._plans[k]
+        return self._plans[index]
+
+    def indices_for_slot(self, slot: int) -> List[int]:
+        index, offset = divmod(slot, self._window)
         return [
             self._allocate(path, slot)
-            for path in self._plans[index].get(offset, [])
+            for path in self._plan(index).get(offset, [])
         ]
+
+    def indices_for_range(self, start_slot: int, end_slot: int) -> np.ndarray:
+        """Store indices injected in ``[start_slot, end_slot)``, bit-exact.
+
+        Walks the range window by window instead of slot by slot: each
+        window is planned (and old plans pruned) in the per-slot order,
+        so the RNG and the cached plans end as :meth:`indices_for_slot`
+        leaves them, and only the plan's offsets inside the range are
+        emitted, allocated in one call.
+        """
+        paths: List[Path] = []
+        slots: List[int] = []
+        if end_slot > start_slot:
+            first = start_slot // self._window
+            last = (end_slot - 1) // self._window
+            for index in range(first, last + 1):
+                plan = self._plan(index)
+                base = index * self._window
+                low = max(start_slot - base, 0)
+                high = min(end_slot - base, self._window)
+                for offset in sorted(plan):
+                    if low <= offset < high:
+                        paths.extend(plan[offset])
+                        slots.extend([base + offset] * len(plan[offset]))
+        if not paths:
+            return np.empty(0, dtype=np.int64)
+        links, offsets = path_pool(paths)
+        return self._store.allocate_flat(
+            links, np.diff(offsets), np.asarray(slots, dtype=np.int64)
+        )
 
     def _plan_window(self, index: int) -> Dict[int, List[Path]]:
         raise NotImplementedError

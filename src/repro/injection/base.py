@@ -75,10 +75,18 @@ class InjectionProcess(ABC):
     def indices_for_range(self, start_slot: int, end_slot: int) -> np.ndarray:
         """Store indices injected in ``[start_slot, end_slot)`` as int64.
 
-        The default iterates slots; processes with cheap batch sampling
-        (e.g. the stochastic model, where only the per-frame multiset
-        matters to the protocol) override this with an equivalent
-        distribution sampled in one shot.
+        The default iterates :meth:`indices_for_slot` over the slots and
+        is the reference the built-in overrides are tested against:
+
+        * :class:`~repro.injection.stochastic.StochasticInjection`
+          samples an equivalent distribution in one shot (only the
+          per-frame multiset matters to the protocol);
+        * :class:`~repro.injection.markov.MarkovModulatedInjection`,
+          the :class:`~repro.injection.adversarial.WindowAdversary`
+          family and :class:`~repro.injection.markov.PoissonBatchInjection`
+          emit exactly the per-slot packets, stamps and end state, with
+          one allocation per range (Markov walks ON/OFF sojourns, the
+          adversaries their window plans, Poisson keeps per-slot draws).
         """
         out: List[int] = []
         for slot in range(start_slot, end_slot):

@@ -19,6 +19,12 @@ model and the window adversary:
   lineage) and the natural "infinitely many users" limit the related
   work studies.
 
+Both sample a frame with ``indices_for_range`` and stay bit-identical
+to their per-slot ``indices_for_slot``: the Markov process walks each
+chain one ON/OFF sojourn at a time over a block of its generator's
+uniforms, and the Poisson process keeps its per-slot draws but
+allocates the range's packets in one call.
+
 Both expose the same ``mean_usage`` / ``injection_rate`` interface as
 :class:`~repro.injection.stochastic.StochasticInjection`, so frame
 provisioning and the stability experiments treat them uniformly.
@@ -28,16 +34,22 @@ usage of *any* process over a horizon.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from bisect import bisect_left, bisect_right
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError, InjectionError
 from repro.injection.base import InjectionProcess
 from repro.injection.stochastic import PathDist, PathGenerator
-from repro.injection.store import PacketStore
+from repro.injection.store import PacketStore, gather_paths, path_pool
 from repro.interference.base import InterferenceModel
-from repro.utils.rng import RngLike, spawn_rngs
+from repro.utils.rng import ChunkedUniforms, RngLike, spawn_rngs
+
+#: Slots per uniform block in :meth:`MarkovModulatedInjection.indices_for_range`
+#: (two draws per slot at most), so a long frame is walked in bounded
+#: memory rather than one ``2 * L`` draw.
+_BLOCK_SLOTS = 4096
 
 
 class MarkovModulatedInjection(InjectionProcess):
@@ -96,6 +108,21 @@ class MarkovModulatedInjection(InjectionProcess):
             bool(state_rng.random() < pi_on) for _ in self._generators
         ]
         self._next_slot = 0
+        # Range-sampling state, built once: each generator's running
+        # sum of path probabilities (np.cumsum adds in the scalar
+        # loop's order, so the floats are identical), and one CSR pool
+        # of every generator's paths, generator g's path i at pool row
+        # ``self._pool_base[g] + i``.
+        self._cumulative = [
+            np.cumsum([p for _, p in g.distribution], dtype=float)
+            for g in self._generators
+        ]
+        self._pool_base = np.cumsum(
+            [0] + [len(g.distribution) for g in self._generators[:-1]]
+        )
+        self._pool_links, self._pool_offsets = path_pool(
+            [path for g in self._generators for path, _ in g.distribution]
+        )
 
     @property
     def stationary_on_probability(self) -> float:
@@ -174,6 +201,129 @@ class MarkovModulatedInjection(InjectionProcess):
                     self._states[index] = True
         return indices
 
+    def indices_for_range(self, start_slot: int, end_slot: int) -> np.ndarray:
+        """Store indices injected in ``[start_slot, end_slot)``, bit-exact.
+
+        Emits exactly what :meth:`indices_for_slot` (the scalar
+        reference) emits slot by slot — the same ids, paths and stamps,
+        and the same RNG and chain end states — at a cost per ON/OFF
+        sojourn instead of per slot: :meth:`_walk` advances each
+        generator's chain over a block of its own uniforms, one
+        ``searchsorted`` maps the ON slots' path draws to paths, and
+        the range's packets are allocated in (slot, generator) order in
+        one call.
+        """
+        length = end_slot - start_slot
+        if length <= 0:
+            return np.empty(0, dtype=np.int64)
+        if start_slot != self._next_slot:
+            raise InjectionError(
+                f"Markov-modulated injection must be queried in slot order; "
+                f"expected slot {self._next_slot}, got {start_slot}"
+            )
+        slot_runs: List[np.ndarray] = []
+        row_runs: List[np.ndarray] = []
+        for index, cumulative in enumerate(self._cumulative):
+            slots, draws = self._walk(index, length)
+            paths = np.searchsorted(cumulative, draws, side="right")
+            # A draw at or above the last cumulative value injects nothing.
+            hit = paths < cumulative.size
+            slot_runs.append(slots[hit])
+            row_runs.append(self._pool_base[index] + paths[hit])
+        self._next_slot = end_slot
+        slots = np.concatenate(slot_runs)
+        # Rows run in generator order, so a stable sort by slot gives the
+        # per-slot loop's (slot, generator) allocation order.
+        order = np.argsort(slots, kind="stable")
+        links, lengths = gather_paths(
+            self._pool_links, self._pool_offsets, np.concatenate(row_runs)[order]
+        )
+        return self._store.allocate_flat(links, lengths, start_slot + slots[order])
+
+    def _walk(self, index: int, length: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Advance generator ``index``'s chain by ``length`` slots.
+
+        Returns the ON slots (offsets into the range) and their path
+        draws. Per slot, :meth:`indices_for_slot` draws a path uniform
+        and then a switch uniform while ON, and one switch uniform
+        while OFF. So an OFF sojourn ends at its first draw below
+        ``p_off_on``, and an ON sojourn, read as (path, switch) pairs,
+        ends at its first switch draw below ``p_on_off``; both ends are
+        found by bisecting the block's hit positions. The block's
+        unused tail is rewound (:class:`ChunkedUniforms`), leaving the
+        generator where the per-slot draws leave it.
+        """
+        chunk = ChunkedUniforms(
+            self._rngs[index], chunk_slots=min(length, _BLOCK_SLOTS)
+        )
+        on = self._states[index]
+        slot = 0
+        slot_runs: List[np.ndarray] = []
+        draw_runs: List[np.ndarray] = []
+        while slot < length:
+            # At least one slot's draws; an ON slot needs two.
+            block = chunk.peek(2)
+            size = block.size
+            # Hit positions, each list closed by a ``size`` sentinel
+            # that no sojourn inside the block can reach.
+            off_hits = np.flatnonzero(block < self._p_off_on).tolist()
+            off_hits.append(size)
+            # An ON sojourn starting at ``pos`` reads its switch draws
+            # at pos + 1, pos + 3, ...: hits split by position parity.
+            switch = block < self._p_on_off
+            on_hits = (
+                (2 * np.flatnonzero(switch[0::2])).tolist() + [size],
+                (2 * np.flatnonzero(switch[1::2]) + 1).tolist() + [size],
+            )
+            pos = 0
+            starts: List[int] = []
+            counts: List[int] = []
+            firsts: List[int] = []
+            while slot < length:
+                if on:
+                    pairs = min((size - pos) // 2, length - slot)
+                    if not pairs:
+                        break
+                    hits = on_hits[(pos + 1) & 1]
+                    hit = hits[bisect_left(hits, pos + 1)]
+                    if hit < pos + 2 * pairs:
+                        count = (hit - pos + 1) // 2
+                        on = False
+                    else:
+                        count = pairs
+                    starts.append(pos)
+                    counts.append(count)
+                    firsts.append(slot)
+                    pos += 2 * count
+                else:
+                    avail = min(size - pos, length - slot)
+                    if not avail:
+                        break
+                    hit = off_hits[bisect_left(off_hits, pos)]
+                    if hit < pos + avail:
+                        count = hit - pos + 1
+                        on = True
+                    else:
+                        count = avail
+                    pos += count
+                slot += count
+            if counts:
+                run_lengths = np.asarray(counts, dtype=np.int64)
+                ends = np.cumsum(run_lengths)
+                within = np.arange(int(ends[-1]), dtype=np.int64) - np.repeat(
+                    ends - run_lengths, run_lengths
+                )
+                slot_runs.append(np.repeat(firsts, run_lengths) + within)
+                draw_runs.append(
+                    block[np.repeat(starts, run_lengths) + 2 * within]
+                )
+            chunk.advance(pos)
+        chunk.finalize()
+        self._states[index] = on
+        if not slot_runs:
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        return np.concatenate(slot_runs), np.concatenate(draw_runs)
+
 
 class PoissonBatchInjection(InjectionProcess):
     """Poisson batch arrivals from an infinite-user population.
@@ -217,7 +367,11 @@ class PoissonBatchInjection(InjectionProcess):
                 f"path probabilities must sum to 1, got {total}"
             )
         self._paths = cleaned
-        self._cumulative = np.cumsum([p for _, p in cleaned]) if cleaned else None
+        # Plain floats: a bisect per packet beats a scalar searchsorted.
+        self._cumulative = np.cumsum([p for _, p in cleaned]).tolist()
+        self._pool_links, self._pool_offsets = path_pool(
+            [path for path, _ in cleaned]
+        )
         self._batch_mean = float(batch_mean)
         (self._rng,) = spawn_rngs(rng, 1)
 
@@ -246,17 +400,52 @@ class PoissonBatchInjection(InjectionProcess):
         """Exact ``lambda = ||W . F||_inf`` under ``model``."""
         return model.injection_norm(self.mean_usage(model.num_links))
 
+    def _batch_rows(self) -> List[int]:
+        """Path rows of one slot's batch, drawn in the per-slot order."""
+        count = int(self._rng.poisson(self._batch_mean))
+        if not count:
+            return []
+        # One random(count) call yields the same stream values as
+        # ``count`` scalar draws, so the draw order is unchanged.
+        last = len(self._paths) - 1
+        return [
+            min(bisect_right(self._cumulative, draw), last)
+            for draw in self._rng.random(count).tolist()
+        ]
+
     def indices_for_slot(self, slot: int) -> List[int]:
         if not self._paths or self._batch_mean == 0.0:
             return []
-        count = int(self._rng.poisson(self._batch_mean))
-        indices: List[int] = []
-        for _ in range(count):
-            draw = self._rng.random()
-            index = int(np.searchsorted(self._cumulative, draw, side="right"))
-            index = min(index, len(self._paths) - 1)
-            indices.append(self._allocate(self._paths[index][0], slot))
-        return indices
+        return [
+            self._allocate(self._paths[row][0], slot)
+            for row in self._batch_rows()
+        ]
+
+    def indices_for_range(self, start_slot: int, end_slot: int) -> np.ndarray:
+        """Store indices injected in ``[start_slot, end_slot)``, bit-exact.
+
+        The draws stay per slot — ``poisson`` consumes a variable number
+        of uniforms, so the interleaved stream cannot be drawn in bulk —
+        but the range's packets are allocated in one call rather than
+        one per packet.
+        """
+        if not self._paths or self._batch_mean == 0.0:
+            return np.empty(0, dtype=np.int64)
+        rows: List[int] = []
+        slots: List[int] = []
+        for slot in range(start_slot, end_slot):
+            batch = self._batch_rows()
+            if batch:
+                rows.extend(batch)
+                slots.extend([slot] * len(batch))
+        links, lengths = gather_paths(
+            self._pool_links,
+            self._pool_offsets,
+            np.asarray(rows, dtype=np.int64),
+        )
+        return self._store.allocate_flat(
+            links, lengths, np.asarray(slots, dtype=np.int64)
+        )
 
 
 def empirical_usage(

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, InjectionError
 from repro.injection.base import InjectionProcess
-from repro.injection.store import PacketStore
+from repro.injection.store import PacketStore, gather_paths, path_pool
 from repro.interference.base import InterferenceModel
 from repro.network.routing import RoutingTable
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
@@ -121,30 +121,15 @@ class StochasticInjection(InjectionProcess):
         self._pvals = []
         self._pool_links = []
         self._pool_offsets = []
-        self._pool_lengths = []
         for generator in self._generators:
             probabilities = [p for _, p in generator.distribution]
             idle = max(0.0, 1.0 - sum(probabilities))
             self._pvals.append(probabilities + [idle])
-            lengths = np.asarray(
-                [len(path) for path, _ in generator.distribution],
-                dtype=np.int64,
+            links, offsets = path_pool(
+                [path for path, _ in generator.distribution]
             )
-            offsets = np.zeros(lengths.size + 1, dtype=np.int64)
-            np.cumsum(lengths, out=offsets[1:])
-            flat = (
-                np.concatenate(
-                    [
-                        np.asarray(path, dtype=np.int64)
-                        for path, _ in generator.distribution
-                    ]
-                )
-                if lengths.size
-                else np.empty(0, dtype=np.int64)
-            )
-            self._pool_links.append(flat)
+            self._pool_links.append(links)
             self._pool_offsets.append(offsets)
-            self._pool_lengths.append(lengths)
 
     @property
     def generators(self) -> List[PathGenerator]:
@@ -231,24 +216,18 @@ class StochasticInjection(InjectionProcess):
         if not slot_runs:
             return np.empty(0, dtype=np.int64)
         # Flatten the whole frame into one CSR allocation: per-packet
-        # path ids repeat each drawn path `count` times, and the link
-        # gather is one repeat-indexing pass over the pool CSR.
+        # path ids repeat each drawn path `count` times.
         flat_runs: List[np.ndarray] = []
         length_runs: List[np.ndarray] = []
         for row, drawn, drawn_counts in zip(
             pool_rows, path_id_runs, count_runs
         ):
-            path_ids = np.repeat(drawn, drawn_counts)
-            lengths = self._pool_lengths[row][path_ids]
-            starts = self._pool_offsets[row][path_ids]
-            total = int(lengths.sum())
-            ends = np.cumsum(lengths)
-            within = np.arange(total, dtype=np.int64) - np.repeat(
-                ends - lengths, lengths
+            flat, lengths = gather_paths(
+                self._pool_links[row],
+                self._pool_offsets[row],
+                np.repeat(drawn, drawn_counts),
             )
-            flat_runs.append(
-                self._pool_links[row][np.repeat(starts, lengths) + within]
-            )
+            flat_runs.append(flat)
             length_runs.append(lengths)
         stamps = start_slot + np.concatenate(slot_runs)
         indices = store.allocate_flat(

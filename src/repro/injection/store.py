@@ -30,6 +30,7 @@ returns in store mode).
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -444,6 +445,38 @@ class PacketStore:
         return PacketSequence(self, indices)
 
 
+def path_pool(paths: Sequence[Sequence[int]]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(links, offsets)``: ``paths`` as one CSR pool for :func:`gather_paths`."""
+    offsets = np.zeros(len(paths) + 1, dtype=np.int64)
+    np.cumsum(
+        np.fromiter(map(len, paths), dtype=np.int64, count=len(paths)),
+        out=offsets[1:],
+    )
+    links = np.fromiter(
+        itertools.chain.from_iterable(paths),
+        dtype=np.int64,
+        count=int(offsets[-1]),
+    )
+    return links, offsets
+
+
+def gather_paths(
+    pool_links: np.ndarray, pool_offsets: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Flatten paths ``rows`` of a CSR pool for :meth:`PacketStore.allocate_flat`.
+
+    Pool path ``r`` is ``pool_links[pool_offsets[r] : pool_offsets[r + 1]]``.
+    Returns ``(links_flat, lengths)`` for the rows in order, gathered in
+    one repeat-indexing pass rather than a loop over packets.
+    """
+    starts = pool_offsets[rows]
+    lengths = pool_offsets[rows + 1] - starts
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    within = np.arange(total, dtype=np.int64) - np.repeat(ends - lengths, lengths)
+    return pool_links[np.repeat(starts, lengths) + within], lengths
+
+
 class PacketView:
     """Lazy :class:`Packet`-API proxy over one :class:`PacketStore` row.
 
@@ -605,4 +638,10 @@ class PacketSequence(Sequence):
             yield PacketView(store, int(index))
 
 
-__all__ = ["PacketStore", "PacketView", "PacketSequence"]
+__all__ = [
+    "PacketStore",
+    "PacketView",
+    "PacketSequence",
+    "gather_paths",
+    "path_pool",
+]

@@ -50,7 +50,6 @@ import numpy as np
 from repro.errors import SchedulingError
 from repro.staticsched.base import LinkQueues, RunResult
 from repro.staticsched.runloop import (
-    ChunkedUniforms,
     DecayPolicy,
     FkvPolicy,
     FusedPolicy,
@@ -58,6 +57,7 @@ from repro.staticsched.runloop import (
     KvPolicy,
     _make_fused_eval,
 )
+from repro.utils.rng import ChunkedUniforms
 
 #: Maximum slots scanned per wave. The batched tasks draw their coins
 #: in chunks of exactly this many slots (legal at any size: the

@@ -76,6 +76,101 @@ def restore_generator_state(
         raise ConfigurationError(f"incompatible RNG state: {exc}") from exc
 
 
+class ChunkedUniforms:
+    """Pre-draw uniforms in chunks, bit-identical to per-slot draws.
+
+    numpy generators fill ``random(n)`` from the PCG64 stream exactly
+    like ``n`` successive smaller draws, so any re-chunking of the
+    draw sequence yields the same values — :meth:`take` hands out the
+    next ``k`` stream values whatever the chunk boundaries were.
+
+    The only observable difference a chunk could introduce is
+    *overdraw*: at run end the buffer may hold values the per-slot
+    loop would never have drawn, leaving the caller's generator too
+    far ahead (the dynamic protocol keeps using the same generator for
+    the clean-up lottery and later frames). :meth:`finalize` repairs
+    this exactly: the bit-generator state is snapshotted before each
+    refill, and an under-consumed final chunk rewinds to the snapshot
+    and re-draws precisely the consumed count, leaving the generator
+    in the same state as per-slot draws would have.
+    """
+
+    __slots__ = ("_gen", "_chunk_slots", "_buf", "_cursor", "_state",
+                 "_consumed")
+
+    def __init__(self, gen: np.random.Generator, chunk_slots: int = 64):
+        self._gen = gen
+        self._chunk_slots = max(1, int(chunk_slots))
+        self._buf = np.empty(0)
+        self._cursor = 0
+        self._state = None
+        self._consumed = 0
+
+    def refill(self, k: int) -> np.ndarray:
+        """Splice the unconsumed tail with a fresh chunk (no consume).
+
+        Resets the cursor to 0 and returns the new buffer; callers
+        that consume straight off the buffer (the wave engine) must
+        keep :attr:`_cursor`/:attr:`_consumed` in sync so
+        :meth:`finalize` can rewind exactly.
+        """
+        leftover = self._buf[self._cursor:]
+        # Snapshot *before* drawing: everything taken after this
+        # point can be replayed from here by finalize().
+        self._state = self._gen.bit_generator.state
+        fresh = self._gen.random(
+            max(self._chunk_slots * k, k - leftover.size)
+        )
+        if leftover.size:
+            self._buf = np.concatenate([leftover, fresh])
+        else:
+            self._buf = fresh
+        self._consumed = -int(leftover.size)
+        self._cursor = 0
+        return self._buf
+
+    def take(self, k: int) -> np.ndarray:
+        """The next ``k`` uniforms from the stream (a buffer view)."""
+        if self._cursor + k > self._buf.size:
+            self.refill(k)
+        cursor = self._cursor
+        out = self._buf[cursor:cursor + k]
+        self._cursor = cursor + k
+        self._consumed += k
+        return out
+
+    def peek(self, k: int) -> np.ndarray:
+        """Every buffered value not yet consumed, at least ``k`` of them.
+
+        Refills under :meth:`take`'s trigger (fewer than ``k`` left)
+        but consumes nothing: the caller scans ahead, then hands back
+        the count it used with :meth:`advance`. :meth:`finalize` needs
+        every refill to be followed by advancing at least the leftover
+        (under ``k`` values); a caller that advances ``k - 1`` or more
+        after each peek keeps that.
+        """
+        if self._cursor + k > self._buf.size:
+            self.refill(k)
+        return self._buf[self._cursor:]
+
+    def advance(self, k: int) -> None:
+        """Consume ``k`` values of the last :meth:`peek`."""
+        self._cursor += k
+        self._consumed += k
+
+    def finalize(self) -> None:
+        """Rewind overdraw so the generator matches per-slot draws."""
+        if self._state is not None and self._cursor < self._buf.size:
+            # A refill is only ever followed by consuming at least the
+            # leftover (take consumes past it), so _consumed >= 0 here.
+            self._gen.bit_generator.state = self._state
+            if self._consumed > 0:
+                self._gen.random(self._consumed)
+        self._buf = np.empty(0)
+        self._cursor = 0
+        self._state = None
+
+
 class RngFactory:
     """Hands out independent generators derived from one master seed.
 
@@ -120,6 +215,7 @@ def geometric_delay(rng: np.random.Generator, success_probability: float) -> int
 
 
 __all__ = [
+    "ChunkedUniforms",
     "RngLike",
     "ensure_rng",
     "generator_state",
